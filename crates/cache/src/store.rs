@@ -584,10 +584,17 @@ fn decode_index(bytes: &[u8]) -> Option<(String, u64, HashMap<(u8, Fingerprint),
 }
 
 /// Writes `bytes` to `path` via a same-directory temp file + rename.
+///
+/// The temp name carries the process id *and* a process-wide sequence
+/// number: threads of one daemon can write the same key concurrently, and
+/// a shared temp path would let one thread rename the other's half-written
+/// file into place.
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     let stem = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let tmp = parent.join(format!(".{}.tmp-{}", stem, std::process::id()));
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = parent.join(format!(".{}.tmp-{}-{}", stem, std::process::id(), seq));
     std::fs::write(&tmp, bytes)?;
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
@@ -808,6 +815,33 @@ mod tests {
         assert!(store.stats().evictions >= 6);
         // evicted files are really gone
         assert!(!dir.join(format!("fn-{}.bin", fp(2).to_hex())).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_all_succeed() {
+        // Regression: temp names used to be per-process only, so two
+        // threads writing one key shared a temp path — one rename failed
+        // or moved the other thread's half-written file into place.
+        let dir = temp_store_dir("concurrent-put");
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        let payload = vec![0xabu8; 64 * 1024];
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.put(Tier::Function, fp(42), &payload)
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap().expect("every concurrent put succeeds");
+            }
+        });
+        assert_eq!(store.get(Tier::Function, fp(42)).unwrap(), payload);
+        assert_eq!(store.stats().corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -110,6 +110,31 @@ impl IrExpr {
             IrExprKind::Prim(_, args) => args.iter().for_each(|a| a.collect_vars(out)),
         }
     }
+
+    /// Calls `f` on this expression's span and every span beneath it.
+    fn for_each_span_mut<F: FnMut(&mut Span)>(&mut self, f: &mut F) {
+        f(&mut self.span);
+        match &mut self.kind {
+            IrExprKind::Int(_)
+            | IrExprKind::Float
+            | IrExprKind::Str(_)
+            | IrExprKind::OpaqueInt
+            | IrExprKind::Var(_)
+            | IrExprKind::AddrOfVar(_)
+            | IrExprKind::Unknown => {}
+            IrExprKind::Deref(e)
+            | IrExprKind::Not(e)
+            | IrExprKind::Neg(e)
+            | IrExprKind::ValInt(e)
+            | IrExprKind::IntVal(e)
+            | IrExprKind::Cast(_, e) => e.for_each_span_mut(f),
+            IrExprKind::PtrAdd(a, b) | IrExprKind::Binop(_, a, b) => {
+                a.for_each_span_mut(f);
+                b.for_each_span_mut(f);
+            }
+            IrExprKind::Prim(_, args) => args.iter_mut().for_each(|a| a.for_each_span_mut(f)),
+        }
+    }
 }
 
 /// Expression forms.
@@ -163,6 +188,15 @@ pub enum IrLval {
     },
 }
 
+impl IrLval {
+    fn for_each_span_mut<F: FnMut(&mut Span)>(&mut self, f: &mut F) {
+        if let IrLval::Mem { base, offset } = self {
+            base.for_each_span_mut(f);
+            offset.for_each_span_mut(f);
+        }
+    }
+}
+
 /// Call targets.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Callee {
@@ -201,6 +235,40 @@ impl IrStmt {
     /// Creates a statement node.
     pub fn new(kind: IrStmtKind, span: Span) -> Self {
         IrStmt { kind, span }
+    }
+
+    /// Calls `f` on this statement's span and every span beneath it.
+    fn for_each_span_mut<F: FnMut(&mut Span)>(&mut self, f: &mut F) {
+        f(&mut self.span);
+        match &mut self.kind {
+            IrStmtKind::Assign(lval, e) => {
+                lval.for_each_span_mut(f);
+                e.for_each_span_mut(f);
+            }
+            IrStmtKind::Call { dst, callee, args } => {
+                if let Some(lval) = dst {
+                    lval.for_each_span_mut(f);
+                }
+                if let Callee::Pointer(p) = callee {
+                    p.for_each_span_mut(f);
+                }
+                args.iter_mut().for_each(|a| a.for_each_span_mut(f));
+            }
+            IrStmtKind::If { cond, .. } => {
+                if let IrCond::Expr(e) = cond {
+                    e.for_each_span_mut(f);
+                }
+            }
+            IrStmtKind::Return(e) | IrStmtKind::CamlReturn(e) => {
+                if let Some(e) = e {
+                    e.for_each_span_mut(f);
+                }
+            }
+            IrStmtKind::Goto(_)
+            | IrStmtKind::Mark(_)
+            | IrStmtKind::Protect(_)
+            | IrStmtKind::Nop => {}
+        }
     }
 }
 
@@ -306,6 +374,18 @@ impl IrFunction {
     /// The variable ids of the parameters.
     pub fn param_vars(&self) -> impl Iterator<Item = VarId> + '_ {
         (0..self.n_params as u32).map(VarId)
+    }
+
+    /// Calls `f` on every span the function carries: its header, each
+    /// local's declaration, and every statement and expression of the body.
+    pub fn for_each_span_mut(&mut self, mut f: impl FnMut(&mut Span)) {
+        f(&mut self.span);
+        for local in &mut self.locals {
+            f(&mut local.span);
+        }
+        for stmt in &mut self.body {
+            stmt.for_each_span_mut(&mut f);
+        }
     }
 }
 

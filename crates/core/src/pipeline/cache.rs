@@ -8,8 +8,11 @@
 //!   arenas, the registry `Γ_I`, the post-link constraint set and the
 //!   Φ-translated external signatures — plus the semantic analysis
 //!   options and the analyzer version. [`function_fingerprint`] then
-//!   folds in one function's complete lowered IR (spans included, since
-//!   diagnostics carry them). A worker's overlay reads nothing else —
+//!   folds in one function's complete lowered IR, spans included since
+//!   diagnostics carry them — but spans inside the function's own source
+//!   range are hashed *relative* to its header, so text inserted or
+//!   removed before a function leaves its key unchanged (see
+//!   [`OwnRange`]). A worker's overlay reads nothing else —
 //!   sibling function *bodies* never reach the link stage and are
 //!   invisible behind overlay isolation — so two runs agreeing on a
 //!   function's fingerprint produce identical [`FunctionOutcome`]s by
@@ -17,7 +20,8 @@
 //!   rather than the input surface, it is by construction identical
 //!   across `--jobs` widths and across cold/warm runs of one corpus.
 //! * **Codecs.** [`encode_outcome`]/[`decode_outcome`] serialize the
-//!   plain-data [`FunctionOutcome`] for tier 1;
+//!   plain-data [`FunctionOutcome`] for tier 1, storing own-range spans
+//!   relative to the function header and rebasing them on decode;
 //!   [`encode_report`]/[`decode_report`] serialize the rendered stable
 //!   report for tier 2. Decoding is total: any malformed payload yields
 //!   `None` and the caller treats it as a miss.
@@ -35,13 +39,16 @@
 use super::infer::{
     DeferredPsiBound, EffectKey, FunctionOutcome, InterfacePin, ResolvedObligation,
 };
+use crate::registry::FuncInfo;
 use ffisafe_cache::{CacheBackend, CacheStore, Decoder, Encoder, Tier};
 use ffisafe_cil as cil;
 use ffisafe_ocaml as ocaml;
+use ffisafe_ocaml::translate::ExternalSignature;
 use ffisafe_rustffi as rustffi;
+use ffisafe_support::source_map::FileId;
 use ffisafe_support::{
     AnalysisOptions, Diagnostic, DiagnosticBag, DiagnosticCode, Fingerprint, FingerprintHasher,
-    Severity,
+    Severity, Span,
 };
 use ffisafe_types::{FlatInt, PsiBound, PsiId, PsiNode, PsiViolation};
 use std::sync::Arc;
@@ -66,7 +73,14 @@ use std::sync::Arc;
 /// memoized under [`rust_check_fingerprint`]. Pre-Rust stores never saw
 /// those tags, but the schema bump wipes them anyway so no v3 payload is
 /// ever decoded by a decoder that assigns the new tags meaning.
-pub const CACHE_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: tier-1 keys became position-independent. The base digest no longer
+/// hashes registry spans, [`function_fingerprint`] hashes own-range spans
+/// relative to the function header, and tier-1 payloads store those spans
+/// relative (a tag byte per span) and rebase them on decode. Interface-pin
+/// and pinned-poly indices are written as plain `u64`s. A v4 payload would
+/// be misread as relative spans, so the bump wipes every v4 store.
+pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 /// The producer identity pinned in the cache index: crate version plus
 /// payload schema version.
@@ -187,9 +201,13 @@ pub fn report_key(content: Fingerprint, options: &AnalysisOptions) -> Fingerprin
 /// Function *bodies* never reach the link stage, so a body edit leaves
 /// this digest unchanged and sibling tier-1 entries survive; signature,
 /// prototype and `.ml` declaration edits all reshape the frozen arenas or
-/// the registry and invalidate everything. The digest is computed from
-/// the frozen state — not the input files — so it is identical across
-/// `--jobs` widths and across cold/warm runs by construction.
+/// the registry and invalidate everything. Registry entries are hashed
+/// without their definition spans: those feed only link-stage diagnostics,
+/// which are recomputed on every run, and hashing them would tie every
+/// function's key to the byte offset of every C definition. The digest is
+/// computed from the frozen state — not the input files — so it is
+/// identical across `--jobs` widths and across cold/warm runs by
+/// construction.
 pub fn base_state_digest(
     options: &AnalysisOptions,
     base: &super::infer::BaseState,
@@ -214,7 +232,9 @@ pub fn base_state_digest(
     h.write_u64(funcs.len() as u64);
     for (sym, info) in funcs {
         h.write_u32(sym.as_raw());
-        hash_debug(&mut h, info);
+        let FuncInfo { name, params, ret, effect, origin, external_index, noreturn, span: _ } =
+            info;
+        hash_debug(&mut h, &(name, params, ret, effect, origin, external_index, noreturn));
     }
 
     // Post-link constraints: the base GC effect edges and Ψ bounds.
@@ -234,11 +254,61 @@ pub fn base_state_digest(
     h.finish()
 }
 
+/// Stands in for the file of a span made relative by
+/// [`OwnRange::relative_copy`], so a relative span never renders like an
+/// absolute one.
+const RELATIVE_FILE: u32 = u32::MAX - 1;
+
+/// The source range a function's lowered IR covers: from the first byte
+/// of its header to the furthest end of any span in its IR, in the
+/// header's file.
+///
+/// Spans inside this range are hashed into the tier-1 key and stored in
+/// the tier-1 payload relative to `lo`; decoding rebases them onto the
+/// replaying run's header. Inserting or deleting text *outside* the range
+/// (an earlier function growing, a comment above it) therefore leaves the
+/// key unchanged, and the replayed outcome still reports the shifted
+/// positions exactly. Any other span stays absolute in the key. The
+/// invariant: every position a replayed outcome carries is covered by its
+/// key, so an outcome holding a (non-dummy) span outside its own range is
+/// not cached — the same rule as for unresolved Ψ pins.
+#[derive(Clone, Copy, Debug)]
+struct OwnRange {
+    file: FileId,
+    lo: u32,
+    hi: u32,
+}
+
+impl OwnRange {
+    /// A copy of `func` with every own-range span made relative, and the
+    /// range itself. Spans in the header's file at or after its start are
+    /// inside by construction — the range ends where the last of them does.
+    fn relative_copy(func: &cil::ir::IrFunction) -> (cil::ir::IrFunction, OwnRange) {
+        let (file, lo) = (func.span.file, func.span.lo);
+        let mut hi = func.span.hi;
+        let mut copy = func.clone();
+        copy.for_each_span_mut(|s| {
+            if s.file == file && s.lo >= lo {
+                hi = hi.max(s.hi);
+                *s = Span { file: FileId::from_raw(RELATIVE_FILE), lo: s.lo - lo, hi: s.hi - lo };
+            }
+        });
+        (copy, OwnRange { file, lo, hi })
+    }
+
+    fn contains(&self, s: Span) -> bool {
+        s.file == self.file && s.lo >= self.lo && s.hi <= self.hi
+    }
+}
+
 /// The tier-1 key: the base-surface digest plus one function's complete
-/// lowered IR. `address_taken` is a `HashSet`, whose iteration order is
+/// lowered IR, own-range spans relative ([`OwnRange`]). The header's file
+/// id is not hashed: decoding rebases onto whichever file the function is
+/// in now. `address_taken` is a `HashSet`, whose iteration order is
 /// process-random, so it is sorted before hashing — everything else
 /// derives from `Debug` of plain vectors and enums, which is stable.
 pub fn function_fingerprint(base_digest: Fingerprint, func: &cil::ir::IrFunction) -> Fingerprint {
+    let (func, _) = OwnRange::relative_copy(func);
     let mut h = FingerprintHasher::new();
     h.write_str("ffisafe-function");
     h.write_fingerprint(base_digest);
@@ -376,33 +446,68 @@ fn code_from_tag(t: u8) -> Option<DiagnosticCode> {
 
 // ---- field codecs -------------------------------------------------------
 
-fn put_diagnostics(e: &mut Encoder, bag: &DiagnosticBag) {
+/// Writes a span absolutely (`own` = `None`: tier 2 and the Rust check,
+/// whose keys cover the whole input text) or relative to a function's own
+/// range (tier 1). A relative span is a tag byte — 0 for a dummy span, 1
+/// for an own-range offset pair. `None` means the span lies outside the
+/// range, which the tier-1 key does not cover: the outcome is not cached.
+fn put_span(e: &mut Encoder, span: Span, own: Option<&OwnRange>) -> Option<()> {
+    match own {
+        None => e.put_span(span),
+        Some(_) if span.is_dummy() => e.put_u8(0),
+        Some(r) if r.contains(span) => {
+            e.put_u8(1);
+            e.put_u32(span.lo - r.lo);
+            e.put_u32(span.hi - r.lo);
+        }
+        Some(_) => return None,
+    }
+    Some(())
+}
+
+/// Reads a span written by [`put_span`], rebasing a relative one onto the
+/// replaying function's header `own`.
+fn get_span(d: &mut Decoder, own: Option<Span>) -> Option<Span> {
+    let Some(header) = own else { return d.get_span().ok() };
+    match d.get_u8().ok()? {
+        0 => Some(Span::dummy()),
+        1 => {
+            let lo = header.lo.checked_add(d.get_u32().ok()?)?;
+            let hi = header.lo.checked_add(d.get_u32().ok()?)?;
+            (lo <= hi).then_some(Span { file: header.file, lo, hi })
+        }
+        _ => None,
+    }
+}
+
+fn put_diagnostics(e: &mut Encoder, bag: &DiagnosticBag, own: Option<&OwnRange>) -> Option<()> {
     e.put_len(bag.len());
     for d in bag.iter() {
         e.put_u8(code_tag(d.code()));
         e.put_u8(severity_tag(d.severity()));
-        e.put_span(d.span());
+        put_span(e, d.span(), own)?;
         e.put_str(d.message());
         e.put_len(d.notes().len());
         for (span, note) in d.notes() {
-            e.put_span(*span);
+            put_span(e, *span, own)?;
             e.put_str(note);
         }
     }
+    Some(())
 }
 
-fn get_diagnostics(d: &mut Decoder) -> Option<DiagnosticBag> {
+fn get_diagnostics(d: &mut Decoder, own: Option<Span>) -> Option<DiagnosticBag> {
     let n = d.get_len().ok()?;
     let mut bag = DiagnosticBag::new();
     for _ in 0..n {
         let code = code_from_tag(d.get_u8().ok()?)?;
         let severity = severity_from_tag(d.get_u8().ok()?)?;
-        let span = d.get_span().ok()?;
+        let span = get_span(d, own)?;
         let message = d.get_str().ok()?;
         let mut diag = Diagnostic::new(code, span, message).with_severity(severity);
         let notes = d.get_len().ok()?;
         for _ in 0..notes {
-            let nspan = d.get_span().ok()?;
+            let nspan = get_span(d, own)?;
             let note = d.get_str().ok()?;
             diag = diag.with_note(nspan, note);
         }
@@ -415,14 +520,14 @@ fn get_diagnostics(d: &mut Decoder) -> Option<DiagnosticBag> {
 /// Rust boundary check, stored under [`rust_check_fingerprint`].
 pub fn encode_diagnostics(bag: &DiagnosticBag) -> Vec<u8> {
     let mut e = Encoder::new();
-    put_diagnostics(&mut e, bag);
+    put_diagnostics(&mut e, bag, None).expect("absolute spans always encode");
     e.into_bytes()
 }
 
 /// Decodes a standalone diagnostic bag; `None` is a cache miss.
 pub fn decode_diagnostics(bytes: &[u8]) -> Option<DiagnosticBag> {
     let mut d = Decoder::new(bytes);
-    let bag = get_diagnostics(&mut d)?;
+    let bag = get_diagnostics(&mut d, None)?;
     d.finish().ok()?;
     Some(bag)
 }
@@ -471,24 +576,33 @@ fn get_flat_int(d: &mut Decoder) -> Option<FlatInt> {
 
 // ---- tier-1 payload -----------------------------------------------------
 
-/// Serializes one function outcome, or `None` for an outcome that cannot
-/// be replayed faithfully (an unresolved Ψ pin, which infer should never
-/// export — skipping the put keeps warm runs byte-identical even if an
-/// upstream bug ever produces one). `own_idx` is the function's index in
-/// the producing run, used only to strip the redundant index from local
+/// Serializes the outcome of analyzing `func`, or `None` for an outcome
+/// that cannot be replayed faithfully: an unresolved Ψ pin (which infer
+/// should never export), or a span outside the function's own range,
+/// whose position the tier-1 key does not cover (see [`OwnRange`]).
+/// Skipping the put keeps warm runs byte-identical even if an upstream
+/// change ever produces either. `own_idx` is the function's index in the
+/// producing run, used only to strip the redundant index from local
 /// effect keys.
 ///
-/// Scalar counters (`passes`, `new_nodes`, …) use `put_u64`, not
-/// `put_len`: `Decoder::get_len`'s corruption guard caps values at the
-/// payload byte length, which collection lengths always satisfy but a
-/// large clean function's node counter need not.
-pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
+/// Scalar counters (`passes`, `new_nodes`, …) and signature indices use
+/// `put_u64`, not `put_len`: `Decoder::get_len`'s corruption guard caps
+/// values at the payload byte length, which collection lengths always
+/// satisfy but a large clean function's node counter — or a pin to
+/// signature #500 in a 200-byte payload — need not.
+pub fn encode_outcome(
+    o: &FunctionOutcome,
+    own_idx: u32,
+    func: &cil::ir::IrFunction,
+) -> Option<Vec<u8>> {
     if o.psi_pins.iter().any(|(_, n)| matches!(n, PsiNode::Var | PsiNode::Link(_))) {
         return None;
     }
+    let (_, range) = OwnRange::relative_copy(func);
+    let own = Some(&range);
     let mut e = Encoder::new();
     e.put_str(&o.name);
-    put_diagnostics(&mut e, &o.diagnostics);
+    put_diagnostics(&mut e, &o.diagnostics, own)?;
     e.put_u64(o.passes as u64);
     e.put_u64(o.new_nodes as u64);
     e.put_len(o.gc_edges.len());
@@ -516,16 +630,16 @@ pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
             e.put_len(keys.len());
             for (func, slot) in keys {
                 e.put_str(func);
-                e.put_len(*slot);
+                e.put_u64(*slot as u64);
             }
         }
-        e.put_span(ob.span);
+        put_span(&mut e, ob.span, own)?;
     }
     e.put_len(o.psi_violations.len());
     for v in &o.psi_violations {
         put_flat_int(&mut e, v.bound.t);
         e.put_u32(v.bound.psi.as_raw());
-        e.put_span(v.bound.span);
+        put_span(&mut e, v.bound.span, own)?;
         e.put_str(&v.bound.context);
         e.put_str(&v.reason);
     }
@@ -546,49 +660,58 @@ pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
     for b in &o.deferred_psi_bounds {
         e.put_u32(b.mt_key);
         put_flat_int(&mut e, b.t);
-        e.put_span(b.span);
+        put_span(&mut e, b.span, own)?;
         e.put_str(&b.context);
     }
     e.put_len(o.pinned_polys.len());
     for (sig, param, rendered) in &o.pinned_polys {
-        e.put_len(*sig);
-        e.put_len(*param);
+        e.put_u64(*sig as u64);
+        e.put_u64(*param as u64);
         e.put_str(rendered);
     }
     e.put_len(o.interface_pins.len());
     for pin in &o.interface_pins {
-        e.put_len(pin.sig_idx);
-        e.put_len(pin.slot);
+        e.put_u64(pin.sig_idx as u64);
+        e.put_u64(pin.slot as u64);
         e.put_u32(pin.mt_key);
         e.put_str(&pin.rendered);
-        e.put_span(pin.func_span);
+        put_span(&mut e, pin.func_span, own)?;
         e.put_str(&pin.func_name);
     }
     e.put_len(o.heap_slots.len());
     for (func, slot) in &o.heap_slots {
         e.put_str(func);
-        e.put_len(*slot);
+        e.put_u64(*slot as u64);
     }
     Some(e.into_bytes())
 }
 
-/// Decodes a tier-1 payload, re-binding local effect keys to `func_idx`.
+/// Reads an index written with `put_u64`, rejecting values `>= bound`.
+fn get_index(d: &mut Decoder, bound: usize) -> Option<usize> {
+    let v = d.get_u64().ok()?;
+    (v < bound as u64).then_some(v as usize)
+}
+
+/// Decodes a tier-1 payload for `func`, re-binding local effect keys to
+/// `func_idx` and rebasing own-range spans onto `func`'s header.
 ///
-/// Returns `None` on any structural problem, including a function-name or
-/// signature-index mismatch — callers treat that as a cache miss. The
-/// replayed outcome reports zero seconds: no work was performed.
+/// Returns `None` on any structural problem, including a function-name
+/// mismatch or a signature index or slot out of range for `sigs` —
+/// callers treat that as a cache miss. The replayed outcome reports zero
+/// seconds: no work was performed.
 pub fn decode_outcome(
     bytes: &[u8],
     func_idx: u32,
-    expect_name: &str,
-    n_sigs: usize,
+    func: &cil::ir::IrFunction,
+    sigs: &[ExternalSignature],
 ) -> Option<FunctionOutcome> {
+    let own = Some(func.span);
     let mut d = Decoder::new(bytes);
     let name = d.get_str().ok()?;
-    if name != expect_name {
+    if name != func.name {
         return None;
     }
-    let diagnostics = get_diagnostics(&mut d)?;
+    let diagnostics = get_diagnostics(&mut d, own)?;
     let passes = d.get_u64().ok()? as usize;
     let new_nodes = d.get_u64().ok()? as usize;
     let n = d.get_len().ok()?;
@@ -623,12 +746,12 @@ pub fn decode_outcome(
             let mut keys = Vec::with_capacity(k);
             for _ in 0..k {
                 let func = d.get_str().ok()?;
-                let slot = d.get_len().ok()?;
+                let slot = d.get_u64().ok()? as usize;
                 keys.push((func, slot));
             }
             deferred_ptrs.push((name, keys));
         }
-        let span = d.get_span().ok()?;
+        let span = get_span(&mut d, own)?;
         obligations.push(ResolvedObligation {
             callee,
             effect,
@@ -643,7 +766,7 @@ pub fn decode_outcome(
     for _ in 0..n {
         let t = get_flat_int(&mut d)?;
         let psi = PsiId::from_raw(d.get_u32().ok()?);
-        let span = d.get_span().ok()?;
+        let span = get_span(&mut d, own)?;
         let context = d.get_str().ok()?;
         let reason = d.get_str().ok()?;
         psi_violations.push(PsiViolation { bound: PsiBound { t, psi, span, context }, reason });
@@ -664,40 +787,35 @@ pub fn decode_outcome(
     for _ in 0..n {
         let mt_key = d.get_u32().ok()?;
         let t = get_flat_int(&mut d)?;
-        let span = d.get_span().ok()?;
+        let span = get_span(&mut d, own)?;
         let context = d.get_str().ok()?;
         deferred_psi_bounds.push(DeferredPsiBound { mt_key, t, span, context });
     }
     let n = d.get_len().ok()?;
     let mut pinned_polys = Vec::with_capacity(n);
     for _ in 0..n {
-        let sig = d.get_len().ok()?;
-        let param = d.get_len().ok()?;
+        let sig = get_index(&mut d, sigs.len())?;
+        let param = get_index(&mut d, sigs[sig].poly_params.len())?;
         let rendered = d.get_str().ok()?;
-        if sig >= n_sigs {
-            return None;
-        }
         pinned_polys.push((sig, param, rendered));
     }
     let n = d.get_len().ok()?;
     let mut interface_pins = Vec::with_capacity(n);
     for _ in 0..n {
-        let sig_idx = d.get_len().ok()?;
-        let slot = d.get_len().ok()?;
+        let sig_idx = get_index(&mut d, sigs.len())?;
+        // slots `0..n` are the params, `n` the return
+        let slot = get_index(&mut d, sigs[sig_idx].params.len() + 1)?;
         let mt_key = d.get_u32().ok()?;
         let rendered = d.get_str().ok()?;
-        let func_span = d.get_span().ok()?;
+        let func_span = get_span(&mut d, own)?;
         let func_name = d.get_str().ok()?;
-        if sig_idx >= n_sigs {
-            return None;
-        }
         interface_pins.push(InterfacePin { sig_idx, slot, mt_key, rendered, func_span, func_name });
     }
     let n = d.get_len().ok()?;
     let mut heap_slots = Vec::with_capacity(n);
     for _ in 0..n {
         let func = d.get_str().ok()?;
-        let slot = d.get_len().ok()?;
+        let slot = d.get_u64().ok()? as usize;
         heap_slots.push((func, slot));
     }
     d.finish().ok()?;
@@ -749,7 +867,7 @@ pub fn encode_report(r: &CachedReport) -> Vec<u8> {
     e.put_len(r.warnings);
     e.put_len(r.imprecision);
     e.put_str(&r.rendered);
-    put_diagnostics(&mut e, &r.diagnostics);
+    put_diagnostics(&mut e, &r.diagnostics, None).expect("absolute spans always encode");
     e.into_bytes()
 }
 
@@ -760,7 +878,7 @@ pub fn decode_report(bytes: &[u8]) -> Option<CachedReport> {
     let warnings = d.get_len().ok()?;
     let imprecision = d.get_len().ok()?;
     let rendered = d.get_str().ok()?;
-    let diagnostics = get_diagnostics(&mut d)?;
+    let diagnostics = get_diagnostics(&mut d, None)?;
     d.finish().ok()?;
     Some(CachedReport { rendered, errors, warnings, imprecision, diagnostics })
 }
@@ -770,7 +888,65 @@ mod tests {
     use super::*;
     use ffisafe_cil::ir::{IrExpr, IrFunction, IrStmt, IrStmtKind, VarId};
     use ffisafe_cil::CTypeExpr;
-    use ffisafe_support::Span;
+    use ffisafe_types::{CtId, GcId, MtId};
+
+    /// Two externals' C stubs in one file, as a corpus packs them.
+    const TWO_FNS: &str = "value ml_first(value x) {\n    return Val_int(1);\n}\n\n\
+                           value ml_second(value x) {\n    if (Is_long(x)) return Val_int(2);\n    return Field(x, 0);\n}\n";
+    const TWO_FNS_ML: &str = r#"external first : int -> int = "ml_first"
+external second : int -> int = "ml_second""#;
+
+    /// Parses and lowers C text as file 0.
+    fn lower_c(src: &str) -> cil::IrProgram {
+        let unit = cil::parser::parse(FileId::from_raw(0), src);
+        cil::lower::lower_unit(&unit)
+    }
+
+    /// `TWO_FNS` with a statement inserted into the first function — a
+    /// length-changing edit that shifts every byte of the second one.
+    fn two_fns_first_edited() -> String {
+        TWO_FNS.replacen("return Val_int(1);", "int pad = 12345; return Val_int(1 + 0);", 1)
+    }
+
+    /// A signature with `params` parameters and `polys` `'a` variables
+    /// (only the arities matter to the tier-1 decoder).
+    fn sig(params: usize, polys: usize) -> ExternalSignature {
+        ExternalSignature {
+            ml_name: "f".into(),
+            c_name: "ml_f".into(),
+            byte_c_name: None,
+            params: vec![MtId::from_raw(0); params],
+            ret: MtId::from_raw(0),
+            fun_ct: CtId::from_raw(0),
+            effect: GcId::from_raw(0),
+            unit_params: vec![false; params],
+            poly_params: (0..polys).map(|i| (format!("a{i}"), MtId::from_raw(0))).collect(),
+            uses_poly_variant: false,
+            span: Span::dummy(),
+        }
+    }
+
+    /// An outcome with nothing in it but `name`.
+    fn empty_outcome(name: &str) -> FunctionOutcome {
+        FunctionOutcome {
+            name: name.into(),
+            diagnostics: DiagnosticBag::new(),
+            passes: 1,
+            new_nodes: 0,
+            gc_edges: vec![],
+            recorded_gc_edges: 0,
+            gc_roots: vec![],
+            obligations: vec![],
+            psi_violations: vec![],
+            psi_pins: vec![],
+            deferred_psi_bounds: vec![],
+            pinned_polys: vec![],
+            interface_pins: vec![],
+            heap_slots: vec![],
+            seconds: 0.0,
+            setup_seconds: 0.0,
+        }
+    }
 
     fn sample_function(name: &str, ret_const: i64) -> IrFunction {
         IrFunction {
@@ -818,6 +994,29 @@ mod tests {
         assert_ne!(a1, function_fingerprint(base, &sample_function("f", 2)), "body change");
         assert_ne!(a1, function_fingerprint(base, &sample_function("g", 1)), "name change");
         assert_ne!(a1, function_fingerprint(Fingerprint(11, 23), &sample_function("f", 1)));
+
+        // A length-changing edit to an earlier function in the same file
+        // shifts every span of the later one; its key must not move.
+        let before = lower_c(TWO_FNS);
+        let after = lower_c(&two_fns_first_edited());
+        assert_ne!(before.functions[1].span, after.functions[1].span, "test premise: shifted");
+        assert_eq!(
+            function_fingerprint(base, &before.functions[1]),
+            function_fingerprint(base, &after.functions[1]),
+            "a shifted but unchanged function keeps its key"
+        );
+        assert_ne!(
+            function_fingerprint(base, &before.functions[0]),
+            function_fingerprint(base, &after.functions[0]),
+            "the edited function misses"
+        );
+        // Moving to another file is not an edit either: decoding rebases.
+        let mut moved = before.functions[1].clone();
+        moved.for_each_span_mut(|s| s.file = FileId::from_raw(7));
+        assert_eq!(
+            function_fingerprint(base, &before.functions[1]),
+            function_fingerprint(base, &moved)
+        );
     }
 
     /// Links `ml_src` + `program` through the real frontend/link stages
@@ -857,6 +1056,14 @@ mod tests {
         );
         let no_flow = AnalysisOptions { flow_sensitive: false, ..options };
         assert_ne!(a, digest_of(&no_flow, ml, mk(1)), "options change");
+
+        // Registry spans are positions, not state: growing the first of two
+        // functions in one file moves the second's definition, not the digest.
+        assert_eq!(
+            digest_of(&options, TWO_FNS_ML, lower_c(TWO_FNS)),
+            digest_of(&options, TWO_FNS_ML, lower_c(&two_fns_first_edited())),
+            "length-changing body edits must not invalidate later siblings"
+        );
     }
 
     #[test]
@@ -920,8 +1127,10 @@ mod tests {
             seconds: 1.25,
             setup_seconds: 0.0,
         };
-        let bytes = encode_outcome(&outcome, 9).expect("resolved pins encode");
-        let back = decode_outcome(&bytes, 13, "ml_f", 1).expect("decodes");
+        let func = sample_function("ml_f", 1);
+        let sigs = [sig(2, 2)];
+        let bytes = encode_outcome(&outcome, 9, &func).expect("resolved pins encode");
+        let back = decode_outcome(&bytes, 13, &func, &sigs).expect("decodes");
         assert_eq!(back.name, outcome.name);
         assert_eq!(back.diagnostics.len(), 2);
         assert_eq!(back.diagnostics.iter().next().unwrap().notes().len(), 1);
@@ -936,13 +1145,85 @@ mod tests {
         assert_eq!(back.interface_pins[0].rendered, "WindowT *");
         assert_eq!(back.seconds, 0.0, "replayed outcomes report zero work");
 
-        // wrong function name or too few signatures: miss, not garbage
-        assert!(decode_outcome(&bytes, 13, "ml_g", 1).is_none());
-        assert!(decode_outcome(&bytes, 13, "ml_f", 0).is_none());
+        // wrong function name, too few signatures, a pin slot past the
+        // signature's arity or a poly index past its `'a`s: miss, not garbage
+        assert!(decode_outcome(&bytes, 13, &sample_function("ml_g", 1), &sigs).is_none());
+        assert!(decode_outcome(&bytes, 13, &func, &[]).is_none());
+        assert!(decode_outcome(&bytes, 13, &func, &[sig(1, 2)]).is_none(), "slot 2 of 1 param");
+        assert!(decode_outcome(&bytes, 13, &func, &[sig(2, 1)]).is_none(), "poly 1 of 1");
         // truncation at every prefix: miss, never a panic
         for cut in 0..bytes.len() {
-            assert!(decode_outcome(&bytes[..cut], 13, "ml_f", 1).is_none(), "cut {cut}");
+            assert!(decode_outcome(&bytes[..cut], 13, &func, &sigs).is_none(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn pins_to_signatures_past_the_payload_length_still_decode() {
+        // Regression: signature indices were read through `get_len`, whose
+        // corruption guard caps values at the payload byte length, so a
+        // pin to signature #500 inside a ~200-byte payload never decoded
+        // and its function re-ran on every warm run.
+        let mut outcome = empty_outcome("ml_f");
+        outcome.pinned_polys = vec![(499, 0, "int".into())];
+        outcome.interface_pins = vec![InterfacePin {
+            sig_idx: 500,
+            slot: 1,
+            mt_key: 44,
+            rendered: "int".into(),
+            func_span: Span::dummy(),
+            func_name: "ml_f".into(),
+        }];
+        let func = sample_function("ml_f", 1);
+        let bytes = encode_outcome(&outcome, 0, &func).expect("encodes");
+        assert!(bytes.len() < 500, "test premise: index exceeds payload ({} bytes)", bytes.len());
+        let sigs: Vec<_> = (0..501).map(|_| sig(1, 1)).collect();
+        let back = decode_outcome(&bytes, 0, &func, &sigs).expect("large indices decode");
+        assert_eq!(back.interface_pins[0].sig_idx, 500);
+        assert_eq!(back.interface_pins[0].slot, 1);
+        assert_eq!(back.pinned_polys, outcome.pinned_polys);
+        assert!(decode_outcome(&bytes, 0, &func, &sigs[..500]).is_none(), "index out of range");
+    }
+
+    #[test]
+    fn own_range_spans_are_rebased_and_foreign_spans_are_not_cached() {
+        let before = lower_c(TWO_FNS);
+        let after = lower_c(&two_fns_first_edited());
+        let (old, new) = (&before.functions[1], &after.functions[1]);
+        let shift = new.span.lo - old.span.lo;
+        assert!(shift > 0, "test premise: the second function moved");
+        // a diagnostic on the body's last statement, a note on the header
+        let last = old.body.last().unwrap().span;
+        let mut outcome = empty_outcome("ml_second");
+        outcome.diagnostics.push(
+            Diagnostic::new(DiagnosticCode::TypeMismatch, last, "boom")
+                .with_note(old.span, "here")
+                .with_note(Span::dummy(), "synthesized"),
+        );
+        outcome.interface_pins = vec![InterfacePin {
+            sig_idx: 0,
+            slot: 0,
+            mt_key: 1,
+            rendered: "int".into(),
+            func_span: old.span,
+            func_name: "ml_second".into(),
+        }];
+        let bytes = encode_outcome(&outcome, 1, old).expect("own-range spans encode");
+        let back = decode_outcome(&bytes, 1, new, &[sig(1, 0)]).expect("decodes");
+        let diag = back.diagnostics.iter().next().unwrap();
+        assert_eq!(diag.span(), Span { lo: last.lo + shift, hi: last.hi + shift, ..last });
+        assert_eq!(diag.notes()[0].0, new.span, "rebased onto the replaying header");
+        assert!(diag.notes()[1].0.is_dummy(), "dummy spans stay dummy");
+        assert_eq!(back.interface_pins[0].func_span, new.span);
+
+        // A position in the *first* function (or anywhere the key does not
+        // cover) cannot be replayed after an edit there: not cached.
+        let mut foreign = empty_outcome("ml_second");
+        foreign.diagnostics.push(Diagnostic::new(
+            DiagnosticCode::TypeMismatch,
+            before.functions[0].span,
+            "elsewhere",
+        ));
+        assert!(encode_outcome(&foreign, 1, old).is_none());
     }
 
     #[test]
@@ -952,51 +1233,28 @@ mod tests {
         // nodes than its tiny outcome payload has bytes; its counters
         // must not be read through that guard.
         let outcome = FunctionOutcome {
-            name: "ml_big".into(),
-            diagnostics: DiagnosticBag::new(),
             passes: 5_000,
             new_nodes: 250_000,
-            gc_edges: vec![],
-            recorded_gc_edges: 0,
-            gc_roots: vec![],
-            obligations: vec![],
-            psi_violations: vec![],
-            psi_pins: vec![],
-            deferred_psi_bounds: vec![],
-            pinned_polys: vec![],
-            interface_pins: vec![],
-            heap_slots: vec![],
             seconds: 0.5,
-            setup_seconds: 0.0,
+            ..empty_outcome("ml_big")
         };
-        let bytes = encode_outcome(&outcome, 0).expect("encodes");
+        let func = sample_function("ml_big", 1);
+        let bytes = encode_outcome(&outcome, 0, &func).expect("encodes");
         assert!(outcome.new_nodes > bytes.len(), "test premise: counter exceeds payload");
-        let back = decode_outcome(&bytes, 0, "ml_big", 0).expect("large counters decode");
+        let back = decode_outcome(&bytes, 0, &func, &[]).expect("large counters decode");
         assert_eq!(back.passes, 5_000);
         assert_eq!(back.new_nodes, 250_000);
     }
 
     #[test]
     fn unresolved_psi_pins_are_not_cached() {
-        let outcome = FunctionOutcome {
-            name: "ml_odd".into(),
-            diagnostics: DiagnosticBag::new(),
-            passes: 1,
-            new_nodes: 0,
-            gc_edges: vec![],
-            recorded_gc_edges: 0,
-            gc_roots: vec![],
-            obligations: vec![],
-            psi_violations: vec![],
-            psi_pins: vec![(7, PsiNode::Var)],
-            deferred_psi_bounds: vec![],
-            pinned_polys: vec![],
-            interface_pins: vec![],
-            heap_slots: vec![],
-            seconds: 0.0,
-            setup_seconds: 0.0,
-        };
-        assert!(encode_outcome(&outcome, 0).is_none(), "unreplayable outcome must not cache");
+        let outcome =
+            FunctionOutcome { psi_pins: vec![(7, PsiNode::Var)], ..empty_outcome("ml_odd") };
+        let func = sample_function("ml_odd", 1);
+        assert!(
+            encode_outcome(&outcome, 0, &func).is_none(),
+            "unreplayable outcome must not cache"
+        );
     }
 
     #[test]

@@ -552,12 +552,8 @@ pub fn run(
         for (idx, func) in program.functions.iter().enumerate() {
             let fp = fingerprints[idx].expect("computed above");
             if let Some(bytes) = pc.get(Tier::Function, fp) {
-                slots[idx] = super::cache::decode_outcome(
-                    &bytes,
-                    idx as u32,
-                    &func.name,
-                    phase1.signatures.len(),
-                );
+                slots[idx] =
+                    super::cache::decode_outcome(&bytes, idx as u32, func, &phase1.signatures);
             }
         }
     }
@@ -618,7 +614,8 @@ pub fn run(
             if let (Some(pc), Some(fp)) = (cache, fingerprints[idx]) {
                 // An unencodable outcome or failed write only loses future
                 // warm hits; never fail the analysis over it.
-                if let Some(payload) = super::cache::encode_outcome(&outcome, idx as u32) {
+                let func = &program.functions[idx];
+                if let Some(payload) = super::cache::encode_outcome(&outcome, idx as u32, func) {
                     pc.put(Tier::Function, fp, &payload);
                 }
             }

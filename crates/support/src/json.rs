@@ -155,7 +155,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -166,6 +166,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -335,16 +336,17 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // copy one UTF-8 scalar (the input is a valid &str)
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control byte. Those are all ASCII, and
+                    // UTF-8 continuation bytes never are, so the run ends
+                    // on a character boundary of the (valid) input text.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -427,6 +429,53 @@ mod tests {
         let nasty = "quote\" back\\ nl\n tab\t cr\r bell\u{07} nul\u{0} uni→☃ 𝄞";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap(), Json::Str(nasty.to_string()));
+    }
+
+    #[test]
+    fn multibyte_and_control_characters_round_trip() {
+        // Raw multibyte text between escapes, at the string's edges, and
+        // every control character (escaped) next to it.
+        let controls: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        for text in ["é", "→x", "x☃", "𝄞\n𝄞", "a\"é\"b", controls.as_str(), "\u{7f}ÿ\u{80}"]
+        {
+            let doc = format!("[\"{}\", {{\"{}\": 1}}]", escape(text), escape(text));
+            let parsed = parse(&doc).unwrap();
+            let items = parsed.as_array().unwrap();
+            assert_eq!(items[0], Json::Str(text.to_string()), "{text:?}");
+            assert_eq!(items[1].as_object().unwrap()[0].0, text, "{text:?}");
+        }
+        // An unescaped control character inside a string is still an error,
+        // also right after multibyte text.
+        assert!(parse("\"é\u{1}\"").is_err());
+        assert!(parse("\"\t\"").is_err());
+    }
+
+    #[test]
+    fn string_parsing_scales_linearly() {
+        // Regression: each unescaped character used to revalidate the rest
+        // of the input as UTF-8, making long strings quadratic. Parsing 4x
+        // the input must take well under 16x (quadratic) the time.
+        fn doc(bytes: usize) -> String {
+            let mut s = String::from("[\"");
+            while s.len() < bytes {
+                s.push_str("plain text with é and ☃ ");
+            }
+            s.push_str("\", 1]");
+            s
+        }
+        fn best_of_3(text: &str) -> f64 {
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    parse(text).unwrap();
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let small = doc(1 << 20);
+        let large = doc(4 << 20);
+        let (ts, tl) = (best_of_3(&small), best_of_3(&large));
+        assert!(tl < 6.0 * ts.max(1e-4), "4x input took {tl:.4}s vs {ts:.4}s");
     }
 
     #[test]

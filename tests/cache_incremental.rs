@@ -3,7 +3,8 @@
 //! * a warm run on an unchanged corpus executes **zero** inference workers
 //!   and renders a byte-identical report, at `--jobs 1` and `--jobs 8`;
 //! * editing one C function invalidates exactly that function's tier-1
-//!   entry — its siblings replay;
+//!   entry — its siblings replay, also when they share its file and the
+//!   edit shifts their positions;
 //! * editing a `.rs` file invalidates only the Rust boundary-check entry
 //!   — every per-function OCaml/C outcome replays — and the mixed-language
 //!   fingerprints are jobs-invariant;
@@ -147,6 +148,41 @@ fn editing_one_function_invalidates_exactly_that_entry() {
         assert_eq!(reverted.render_stable(), cold.render_stable());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// All three stubs packed into one file, `ml_a` first — so a body edit to
+/// `ml_a` that changes its length shifts every byte of its two siblings,
+/// including the E001 finding in `ml_c`.
+fn one_file_corpus(a_body: &str) -> Vec<(&'static str, String)> {
+    let glue = format!(
+        "value ml_a(value n) {{ {a_body} }}\n{}{}",
+        B_C_CLEAN.trim_start(),
+        C_C.trim_start()
+    );
+    vec![("lib.ml", ML.to_string()), ("glue.c", glue)]
+}
+
+#[test]
+fn length_changing_edit_keeps_later_functions_in_the_same_file_memoized() {
+    let before = one_file_corpus("return Val_int(Int_val(n) + 1);");
+    let grown = one_file_corpus("int k = 40; k = k + 2;\n    return Val_int(Int_val(n) + k);");
+    let shrunk = one_file_corpus("return Val_int(0);");
+    let dir = temp_dir("same-file");
+    let cold = analyze(&as_refs(&before), AnalysisOptions::default().with_jobs(1), Some(&dir));
+    assert_eq!(cold.stats.workers_executed, 3);
+
+    for (jobs, files) in [(1, &grown), (8, &shrunk)] {
+        let warm = analyze(&as_refs(files), AnalysisOptions::default().with_jobs(jobs), Some(&dir));
+        assert!(!warm.stats.cache_report_hit, "changed corpus must miss the report tier");
+        assert_eq!(warm.stats.cache_fn_misses, 1, "only ml_a re-runs (jobs={jobs})");
+        assert_eq!(warm.stats.cache_fn_hits, 2, "shifted siblings replay (jobs={jobs})");
+        // Replayed findings carry the shifted positions: byte-identical to
+        // an uncached run of the same text.
+        let fresh = analyze(&as_refs(files), AnalysisOptions::default().with_jobs(1), None);
+        assert!(fresh.render_stable().contains("E001"), "ml_c's finding is replayed");
+        assert_eq!(warm.render_stable(), fresh.render_stable(), "jobs={jobs}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The tier-1 base digest is a digest of the *frozen post-link base
