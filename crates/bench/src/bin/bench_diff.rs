@@ -11,6 +11,13 @@
 //! * **warm ≥ cold** — any workload in the *current* artifact whose warm
 //!   (cached) run was not strictly faster than its cold run: the
 //!   incremental-reanalysis subsystem stopped paying for itself;
+//! * **warm ≤ 5% of cold on large corpora** — on workloads of at least
+//!   5000 lines of C (lablgtk, `scale-12k`), the warm run must cost at
+//!   most 0.05× the cold run. A row's `seconds` times the whole
+//!   `analyze` call, parsing included, and an unchanged corpus is a
+//!   report-tier hit answered from its content fingerprint without
+//!   parsing; a warm run that parses again lands near 0.1× and trips
+//!   this;
 //! * **total-work blow-up** — the current artifact's total inference work
 //!   (`work_seconds` summed over the uncached `jobs = 1` rows — the sum of
 //!   per-function analysis time, independent of worker count) exceeds the
@@ -69,6 +76,14 @@ use ffisafe_support::json::{self, Json};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
+/// Warm-run budget on large corpora: a report-tier hit may cost at most
+/// this fraction of the cold run of the same workload.
+const MAX_WARM_RATIO: f64 = 0.05;
+
+/// Workloads with at least this many lines of C carry the warm-ratio
+/// gate; on smaller ones fixed per-call costs dominate both runs.
+const MIN_WARM_RATIO_C_LOC: u64 = 5000;
+
 /// Total-work budget: current may cost at most this factor of baseline.
 const MAX_WORK_RATIO: f64 = 1.25;
 
@@ -103,6 +118,8 @@ const MIN_TELEMETRY_EXCESS: f64 = 0.020;
 
 struct Row {
     name: String,
+    /// Lines of C in the workload; 0 on rows that do not record it.
+    c_loc: u64,
     jobs: u64,
     cache: String,
     seconds: f64,
@@ -131,6 +148,7 @@ fn rows(doc: &Json, which: &str) -> Result<Vec<Row>, String> {
                     .as_str()
                     .ok_or_else(|| format!("{which}: rows[{i}].name not a string"))?
                     .to_string(),
+                c_loc: r.get("c_loc").and_then(Json::as_u64).unwrap_or(0),
                 jobs: field("jobs")?
                     .as_u64()
                     .ok_or_else(|| format!("{which}: rows[{i}].jobs not an integer"))?,
@@ -179,6 +197,36 @@ fn warm_regressions(rows: &[Row]) -> Vec<String> {
             (warm.seconds >= cold.seconds).then(|| {
                 format!("{}: warm {:.4}s >= cold {:.4}s", cold.name, warm.seconds, cold.seconds)
             })
+        })
+        .collect()
+}
+
+/// The `(cold, warm)` row pairs of the large workloads the warm-ratio
+/// gate covers.
+fn large_warm_pairs(rows: &[Row]) -> Vec<(&Row, &Row)> {
+    rows.iter()
+        .filter(|r| r.cache == "cold" && r.c_loc >= MIN_WARM_RATIO_C_LOC && r.seconds > 0.0)
+        .filter_map(|cold| {
+            let warm = rows.iter().find(|r| r.cache == "warm" && r.name == cold.name)?;
+            Some((cold, warm))
+        })
+        .collect()
+}
+
+/// Large workloads whose warm run cost over [`MAX_WARM_RATIO`]× their
+/// cold run.
+fn slow_warm_runs(pairs: &[(&Row, &Row)]) -> Vec<String> {
+    pairs
+        .iter()
+        .filter(|(cold, warm)| warm.seconds > MAX_WARM_RATIO * cold.seconds)
+        .map(|(cold, warm)| {
+            format!(
+                "{}: warm {:.4}s is {:.3}x cold {:.4}s",
+                cold.name,
+                warm.seconds,
+                warm.seconds / cold.seconds,
+                cold.seconds
+            )
         })
         .collect()
 }
@@ -320,6 +368,23 @@ fn main() -> ExitCode {
         failed = true;
         println!("REGRESSION: warm run not strictly faster than cold:");
         for r in &regressions {
+            println!("  {r}");
+        }
+    }
+
+    let large_pairs = large_warm_pairs(&current_rows);
+    let slow_warm = slow_warm_runs(&large_pairs);
+    if slow_warm.is_empty() {
+        println!(
+            "warm <= {MAX_WARM_RATIO:.2}x cold on every workload with >= {MIN_WARM_RATIO_C_LOC} C lines ({} pairs)",
+            large_pairs.len()
+        );
+    } else {
+        failed = true;
+        println!(
+            "REGRESSION: warm run over {MAX_WARM_RATIO:.2}x cold on a large corpus (a report hit should skip parsing):"
+        );
+        for r in &slow_warm {
             println!("  {r}");
         }
     }

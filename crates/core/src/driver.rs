@@ -60,7 +60,10 @@ pub struct AnalysisStats {
     pub gc_edges: usize,
     /// Worker threads used by the inference stage.
     pub jobs: usize,
-    /// Wall-clock analysis time in seconds.
+    /// Wall-clock time of the whole [`AnalysisService::analyze`] call in
+    /// seconds: the tier-2 probe and, on a miss, parsing plus every
+    /// pipeline stage. Phase timers cover the stages only, so this can
+    /// exceed the sum of [`AnalysisReport::timings`].
     pub seconds: f64,
     /// Sum of per-function inference wall-clock (total parallelizable
     /// work). Cache replays contribute zero.
@@ -101,7 +104,7 @@ pub struct ReportSummary {
 
 /// A concrete run-time check that would make an imprecise site safe
 /// (§5.2's future-work direction, made actionable).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuntimeCheckSuggestion {
     /// The imprecision code the suggestion addresses.
     pub code: ffisafe_support::DiagnosticCode,

@@ -84,6 +84,15 @@ fn as_refs<'a>(v: &'a [(&'static str, String)]) -> Vec<(&'a str, &'a str)> {
     v.iter().map(|(n, s)| (*n, s.as_str())).collect()
 }
 
+/// The `"diagnostics"` array of an [`ffisafe::AnalysisReport::to_json`]
+/// document: every field in it is independent of timing and cache
+/// temperature.
+fn diagnostics_json(doc: &str) -> &str {
+    let start = doc.find("\"diagnostics\": [").expect("report has a diagnostics array");
+    let end = start + doc[start..].find("\n  \"stats\"").expect("stats follow diagnostics");
+    &doc[start..end]
+}
+
 #[test]
 fn warm_unchanged_corpus_runs_zero_workers_and_is_byte_identical() {
     let dir = temp_dir("warm");
@@ -106,11 +115,17 @@ fn warm_unchanged_corpus_runs_zero_workers_and_is_byte_identical() {
         assert_eq!(warm.warning_count(), cold.warning_count());
         assert_eq!(warm.imprecision_count(), cold.imprecision_count());
         // Structured diagnostics are replayed too, so downstream APIs
-        // behave identically at any cache temperature.
+        // behave identically at any cache temperature. The hit is answered
+        // without parsing, so this also checks that its source map
+        // resolves every replayed span (the E001 sits in `c.c`, the
+        // corpus's fourth file) to the cold run's file, line and column.
         assert_eq!(warm.diagnostics.len(), cold.diagnostics.len());
         let cold_suggestions = cold.suggest_runtime_checks();
         assert!(!cold_suggestions.is_empty(), "global value must yield a suggestion");
-        assert_eq!(warm.suggest_runtime_checks().len(), cold_suggestions.len());
+        assert_eq!(warm.suggest_runtime_checks(), cold_suggestions);
+        let cold_json = cold.to_json();
+        assert!(diagnostics_json(&cold_json).contains("\"file\": \"c.c\""), "{cold_json}");
+        assert_eq!(diagnostics_json(&warm.to_json()), diagnostics_json(&cold_json));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

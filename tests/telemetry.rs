@@ -4,7 +4,7 @@
 //!   (planner, map, per-library attempts, per-function solves), the
 //!   spans nest properly per thread even with concurrent workers and
 //!   steals, the Chrome export parses, and a warm sweep records zero
-//!   `infer.solve` spans;
+//!   `infer.solve` and zero `service.parse` spans;
 //! * **inert** — the reduced sweep report is byte-identical with
 //!   tracing on and off, and the metrics registry agrees with the
 //!   numbers the sweep JSON itself reports.
@@ -91,6 +91,7 @@ fn traced_sweep_records_the_span_schema_and_nests_per_thread() {
     assert_eq!(count(&events, "sweep.reduce"), 1);
     assert_eq!(count(&events, "sweep.library"), 3, "one span per library attempt");
     assert_eq!(count(&events, "service.analyze"), 3);
+    assert_eq!(count(&events, "service.parse"), 3, "a cold run parses every library once");
     assert!(count(&events, "infer.solve") >= 3, "cold run solves every function");
     assert!(count(&events, "phase.infer") > 0);
     assert!(
@@ -137,6 +138,11 @@ fn warm_sweep_emits_zero_infer_solve_spans() {
         count(&events, "infer.solve"),
         0,
         "solver spans wrap executed workers only, so a warm run records none"
+    );
+    assert_eq!(
+        count(&events, "service.parse"),
+        0,
+        "a report-tier hit is answered from the corpus fingerprint, before any parse"
     );
     // The sweep skeleton is still visible: the cache saves the solving,
     // not the orchestration.
